@@ -62,7 +62,7 @@ impl Scale {
             serve_shape: vec![48, 48, 48],
             serve_chunk: vec![16, 16, 16],
             serve_roi: vec![12, 12, 12],
-            setup_reps: 3,
+            setup_reps: 5,
         }
     }
 
@@ -142,6 +142,16 @@ impl Outcome {
     }
 }
 
+/// Share of a request kind's slowest samples its trimmed mean leaves out.
+///
+/// The in-process workloads report a kind's latency as this trimmed
+/// mean. Requests of one kind do the same work, so what spreads them is
+/// the shared host. A mean moves in proportion to how long the host was
+/// slow during the run, where a quantile jumps between the host's fast
+/// and slow states; dropping the slowest tenth keeps one stall from
+/// moving it.
+pub const TRIM: f64 = 0.1;
+
 /// Latency samples of one request class, in milliseconds.
 #[derive(Debug, Clone, Default)]
 pub struct Samples(Vec<f64>);
@@ -176,6 +186,17 @@ impl Samples {
     /// ranks; `NaN` when empty.
     pub fn quantile(&self, q: f64) -> f64 {
         quantile(&self.0, q)
+    }
+
+    /// Mean of the samples without the slowest [`TRIM`] share of them;
+    /// `NaN` when empty.
+    pub fn trimmed_mean(&self) -> f64 {
+        let mut v = self.0.clone();
+        v.sort_by(f64::total_cmp);
+        // At least one sample stays, so only an empty set gives NaN.
+        let keep = ((v.len() as f64 * (1.0 - TRIM)).round() as usize).max(1);
+        v.truncate(keep);
+        v.iter().sum::<f64>() / v.len() as f64
     }
 }
 
@@ -374,5 +395,23 @@ impl Host {
             s.push(')');
         }
         s
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn trimmed_mean_drops_the_slowest_tenth() {
+        let mut s = Samples::default();
+        assert!(s.trimmed_mean().is_nan());
+        s.push_ms(7.0);
+        assert_eq!(s.trimmed_mean(), 7.0);
+        let mut s = Samples::default();
+        for ms in [10.0, 1.0, 9.0, 2.0, 8.0, 3.0, 7.0, 4.0, 6.0, 500.0] {
+            s.push_ms(ms);
+        }
+        assert_eq!(s.trimmed_mean(), 5.555555555555555);
     }
 }

@@ -34,10 +34,10 @@ pub const END_TO_END: &[(&str, &str)] = &[
     ("mbps", "MB/s"),
     ("ops_per_s", "1/s"),
     ("bytes_ratio", "ratio"),
-    ("p50_ms", "ms"),
-    ("p90_ms", "ms"),
-    ("alt_p50_ms", "ms"),
-    ("alt_p90_ms", "ms"),
+    ("small_ms", "ms"),
+    ("large_ms", "ms"),
+    ("alt_small_ms", "ms"),
+    ("alt_large_ms", "ms"),
 ];
 
 /// Run workload `name`: on `SimdBackend`, wrapped in [`Traced`] when

@@ -4,7 +4,7 @@
 //! recompose, decode and materialize dominate.
 
 use crate::common::{
-    fnv1a, max_abs_diff, median, remove_dir, timed_setup, Host, Outcome, RunOpts, Samples, MB,
+    fnv1a, max_abs_diff, remove_dir, timed_setup, Host, Outcome, RunOpts, Samples, MB,
 };
 use crate::fields::{self, Data};
 use crate::layers::{self, Extras};
@@ -19,16 +19,18 @@ use hpmdr_core::prelude::{
 use hpmdr_core::{retrieve_with_multi_qoi_control, MultiQoiRetrievalOutcome};
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Relative L∞ targets of one-shot and stream requests.
-pub const TARGETS: [f64; 2] = [1e-2, 1e-4];
+/// Relative L∞ targets of one-shot and stream requests. One target keeps
+/// every request kind frequent enough for its trimmed mean to repeat.
+pub const TARGETS: [f64; 1] = [1e-4];
 /// Per block, class and target: full-domain requests, then region
-/// requests. Sorted by cost, a class's block runs regions at the loose
-/// target, regions at the tight one, full domain loose, full domain
-/// tight; with these counts its p50 falls in the middle of the second
-/// run and its p90 inside the fourth, away from every boundary.
+/// requests. Sorted by cost, a class's requests are its regions, then
+/// its full-domain requests; with these counts the pooled p50 falls
+/// three quarters into the regions and the p90 inside the full-domain
+/// run, both well away from the boundary between them.
 const SCOPES_PER_TARGET: [usize; 2] = [4, 8];
 /// QoI tolerances, relative to the QoI's value range over the field.
 const QOI_TAUS: [f64; 3] = [1e-3, 1e-4, 1e-5];
@@ -330,11 +332,8 @@ pub fn run<B: Backend>(opts: &RunOpts) -> Result<Outcome, String> {
 
     trace::set_enabled(opts.trace);
     let mut summary = Summary::default();
-    // Pooled over the window, and per block: the end-to-end metrics are
-    // medians over blocks, so a slow spell of the host moves one block,
-    // not the result.
     let mut tally = Tally::default();
-    let mut blocks: Vec<Tally> = Vec::new();
+    let mut blocks = 0usize;
     let window = Duration::from_secs_f64(opts.seconds);
     let start = Instant::now();
     // Whole blocks only, so every run measures the same mix.
@@ -343,7 +342,7 @@ pub fn run<B: Backend>(opts: &RunOpts) -> Result<Outcome, String> {
             if start.elapsed() >= window {
                 break;
             }
-            blocks.push(Tally::default());
+            blocks += 1;
         }
         let t0 = Instant::now();
         let answer = execute(&ready, req, opts.trace);
@@ -356,9 +355,6 @@ pub fn run<B: Backend>(opts: &RunOpts) -> Result<Outcome, String> {
                     format!("{req:?}: {}", verdict.clone().unwrap_err())
                 });
                 tally.count(&ready, req, &answer, took);
-                if let Some(block) = blocks.last_mut() {
-                    block.count(&ready, req, &answer, took);
-                }
             }
             Err(e) => out.check(false, || format!("{req:?}: {e}")),
         }
@@ -370,11 +366,13 @@ pub fn run<B: Backend>(opts: &RunOpts) -> Result<Outcome, String> {
     }
     let busy_s = tally.busy_s;
     out.note(format!(
-        "requests: {requests} in {} blocks, {busy_s:.3} s ({} one-shot, {} stream, {} qoi)",
-        blocks.len(),
+        "requests: {requests} in {blocks} blocks, {busy_s:.3} s ({} one-shot, {} stream, {} qoi): \
+         {:.4}/s, {:.4} MB/s closed loop",
         tally.oneshot.len(),
         tally.last.len(),
-        tally.qoi.len()
+        tally.qoi.len(),
+        requests as f64 / busy_s,
+        tally.rebuilt as f64 / MB / busy_s
     ));
     for (name, s, q) in [
         ("query_p50_ms", &tally.oneshot, 0.5),
@@ -386,6 +384,15 @@ pub fn run<B: Backend>(opts: &RunOpts) -> Result<Outcome, String> {
         ("qoi_p50_ms", &tally.qoi, 0.5),
     ] {
         out.note(format!("{name} = {:.4} ms (n={})", s.quantile(q), s.len()));
+    }
+    for (kind, s) in &tally.kinds {
+        out.note(format!(
+            "{kind:?}: trimmed mean {:.4} ms, p10 {:.4} ms, p50 {:.4} ms (n={})",
+            s.trimmed_mean(),
+            s.quantile(0.1),
+            s.quantile(0.5),
+            s.len()
+        ));
     }
     let fetch_ratio = tally.fetched as f64 / tally.rebuilt as f64;
     out.note(format!("fetch_ratio = {fetch_ratio:.6} (n={requests})"));
@@ -409,38 +416,30 @@ pub fn run<B: Backend>(opts: &RunOpts) -> Result<Outcome, String> {
         layers::report(&mut out, &summary, requests, &extras);
     } else {
         out.metric("setup_s", setup_s, "s", opts.scale.setup_reps as u64);
-        let per_block =
-            |f: &dyn Fn(&Tally) -> f64| median(&blocks.iter().map(f).collect::<Vec<_>>());
-        let (once, last) = (tally.oneshot.len(), tally.last.len());
-        let mbps = per_block(&|b| b.rebuilt as f64 / MB / b.busy_s);
-        out.metric("mbps", mbps, "MB/s", requests);
-        let ops = per_block(&|b| b.requests() as f64 / b.busy_s);
-        out.metric("ops_per_s", ops, "1/s", requests);
+        // The window's requests, each at its kind's trimmed mean.
+        let typical_s = tally
+            .kinds
+            .values()
+            .map(|s| s.len() as f64 * s.trimmed_mean())
+            .sum::<f64>()
+            / 1e3;
+        out.metric(
+            "mbps",
+            tally.rebuilt as f64 / MB / typical_s,
+            "MB/s",
+            requests,
+        );
+        out.metric("ops_per_s", requests as f64 / typical_s, "1/s", requests);
         out.metric("bytes_ratio", fetch_ratio, "ratio", requests);
-        out.metric(
-            "p50_ms",
-            per_block(&|b| b.oneshot.quantile(0.5)),
-            "ms",
-            once,
-        );
-        out.metric(
-            "p90_ms",
-            per_block(&|b| b.oneshot.quantile(0.9)),
-            "ms",
-            once,
-        );
-        out.metric(
-            "alt_p50_ms",
-            per_block(&|b| b.last.quantile(0.5)),
-            "ms",
-            last,
-        );
-        out.metric(
-            "alt_p90_ms",
-            per_block(&|b| b.last.quantile(0.9)),
-            "ms",
-            last,
-        );
+        for (name, kind) in [
+            ("small_ms", Kind::Once { full: false }),
+            ("large_ms", Kind::Once { full: true }),
+            ("alt_small_ms", Kind::Stream { full: false }),
+            ("alt_large_ms", Kind::Stream { full: true }),
+        ] {
+            let s = tally.kinds.get(&kind).cloned().unwrap_or_default();
+            out.metric(name, s.trimmed_mean(), "ms", s.len());
+        }
     }
     Ok(out)
 }
@@ -551,9 +550,37 @@ fn check<B: Backend>(ready: &Ready<B>, req: Request, answer: &Answer) -> Result<
     }
 }
 
+/// What a request does. Requests of one kind do the same work (regions
+/// differ only in which chunk they sit in), so the spread within a kind
+/// is the host's.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Kind {
+    /// One-shot retrieve, over the full domain or a region.
+    Once { full: bool },
+    /// Stream drained to its final frame, over the full domain or a
+    /// region.
+    Stream { full: bool },
+    /// QoI-controlled retrieval on one triplet at one tolerance.
+    Qoi { set: usize, tau: usize },
+}
+
+impl Kind {
+    fn of(req: Request) -> Self {
+        // Query indices start with the full domain at every target.
+        let full = |q: usize| q < TARGETS.len();
+        match req {
+            Request::OneShot(q) => Kind::Once { full: full(q) },
+            Request::Stream(q) => Kind::Stream { full: full(q) },
+            Request::Qoi { set, tau } => Kind::Qoi { set, tau },
+        }
+    }
+}
+
 /// Totals over the window.
 #[derive(Debug, Default)]
 struct Tally {
+    /// Latency of every request, by kind.
+    kinds: BTreeMap<Kind, Samples>,
     oneshot: Samples,
     first: Samples,
     last: Samples,
@@ -580,6 +607,7 @@ impl Tally {
         took: Duration,
     ) {
         self.busy_s += took.as_secs_f64();
+        self.kinds.entry(Kind::of(req)).or_default().push(took);
         match (req, answer) {
             (_, Answer::Once(a)) => {
                 self.oneshot.push(took);

@@ -12,7 +12,7 @@ use crate::common::{
 use crate::fields::{self, Data};
 use crate::layers::{self, Extras};
 use crate::refactor::{handle, ingest};
-use crate::retrieve::{same, Mix, Request, Sequence};
+use crate::retrieve::{same, Mix, Request, Sequence, TARGETS};
 use crate::trace::{self, Layer, Summary};
 use crate::verify::references;
 use crate::wrap::TracedStore;
@@ -29,15 +29,15 @@ use std::time::{Duration, Instant};
 
 /// Keep-alive connections of the load generator.
 const CONNECTIONS: usize = 2;
-/// Offered rate of the fixed-rate phase, requests per second; well below
-/// capacity on the reference host.
+/// Offered rate of the fixed-rate blocks, requests per second; well
+/// below capacity on the reference host.
 const FIXED_RATE: f64 = 15.0;
-/// Share of the measured window given to the fixed-rate phase.
-const FIXED_SHARE: f64 = 0.4;
-/// Seconds of warm-up at the fixed rate before anything is measured.
+/// Share of the measured window given to the rounds (a fixed-rate block,
+/// then a closed-loop block); the rate ladder gets the rest.
+const ROUNDS_SHARE: f64 = 0.75;
+/// Seconds of closed-loop warm-up before anything is measured, so the
+/// cache reaches its steady state.
 const WARMUP_S: f64 = 3.0;
-/// Blocks of the sequence the closed-loop capacity probe runs.
-const PROBE_BLOCKS: usize = 8;
 /// Rungs of the rate ladder.
 const RUNGS: usize = 5;
 /// Limit on the final-frame p90 a ladder rung must meet.
@@ -238,20 +238,6 @@ fn record(out: &mut Outcome, phase: &[Served]) {
     }
 }
 
-/// Requests of `phase` grouped by the sequence block they came from.
-fn by_block(phase: &[Served], block: usize) -> Vec<Vec<&Served>> {
-    let first = phase.iter().map(|s| s.index).min().unwrap_or(0);
-    let mut blocks: Vec<Vec<&Served>> = Vec::new();
-    for s in phase {
-        let b = (s.index - first) / block;
-        if blocks.len() <= b {
-            blocks.resize_with(b + 1, Vec::new);
-        }
-        blocks[b].push(s);
-    }
-    blocks
-}
-
 /// Ingest the store and start everything; the timed set-up.
 fn start(opts: &RunOpts, field: &fields::Field) -> Result<Serving, String> {
     let dir = opts.work.join("store");
@@ -341,12 +327,17 @@ pub fn run(opts: &RunOpts) -> Result<Outcome, String> {
         next: 0,
     };
 
-    let warm = load.run(Some(FIXED_RATE), (FIXED_RATE * WARMUP_S).round() as usize);
-    record(&mut out, &warm);
+    let warm_until = Instant::now() + Duration::from_secs_f64(WARMUP_S);
+    while Instant::now() < warm_until {
+        let warm = load.run(None, load.block);
+        record(&mut out, &warm);
+    }
 
     // Measured phases, each a whole number of blocks so every run offers
-    // the same mix: the fixed rate (traced in a traced run), a
-    // closed-loop capacity probe, then the ladder.
+    // the same mix. Rounds alternate a block at the fixed rate with a
+    // block sent closed loop, so both latency and capacity are sampled
+    // across the whole window rather than in one stretch of it; the
+    // ladder follows. A traced run records the rounds.
     trace::set_enabled(opts.trace);
     drop(trace::drain());
     let remote_counters = |load: &Load| {
@@ -362,33 +353,40 @@ pub fn run(opts: &RunOpts) -> Result<Outcome, String> {
     let before = load.serving.server.stats();
     let remote_before = remote_counters(&load);
     load.align();
-    let fixed_n = load.whole_blocks((FIXED_RATE * opts.seconds * FIXED_SHARE).round() as usize);
-    let fixed = load.run(Some(FIXED_RATE), fixed_n);
-    let after_fixed = load.serving.server.stats();
+    let window_start = Instant::now();
+    let rounds_until = window_start + Duration::from_secs_f64(opts.seconds * ROUNDS_SHARE);
+    let (mut fixed, mut probe) = (Vec::new(), Vec::new());
+    // Per closed-loop block: requests per second and MB per second.
+    let (mut probe_rates, mut probe_mbps) = (Vec::new(), Vec::new());
+    while probe_rates.is_empty() || Instant::now() < rounds_until {
+        fixed.extend(load.run(Some(FIXED_RATE), load.block));
+        let t0 = Instant::now();
+        let burst = load.run(None, load.block);
+        let took = t0.elapsed().as_secs_f64();
+        probe_rates.push(burst.len() as f64 / took);
+        probe_mbps.push(burst.iter().map(|s| s.bytes as f64).sum::<f64>() / MB / took);
+        probe.extend(burst);
+    }
+    let after_rounds = load.serving.server.stats();
     let remote_after = remote_counters(&load);
     let mut summary = Summary::default();
     summary.absorb(&trace::drain());
     trace::set_enabled(false);
     record(&mut out, &fixed);
-
-    let probe_t0 = Instant::now();
-    let probe = load.run(None, PROBE_BLOCKS * load.block);
-    let probe_s = probe_t0.elapsed().as_secs_f64();
     record(&mut out, &probe);
-    let capacity = probe.len() as f64 / probe_s;
-    let probe_bytes: f64 = probe.iter().map(|s| s.bytes as f64).sum();
-    let probe_mbps = probe_bytes / MB / probe_s;
+    let capacity = median(&probe_rates);
+    let mbps = median(&probe_mbps);
     out.note(format!(
-        "capacity probe: {} requests closed-loop in {probe_s:.3} s = {capacity:.3}/s, \
-         {probe_mbps:.4} MB/s",
-        probe.len()
+        "capacity: {} requests closed loop in {} blocks, median {capacity:.3}/s, {mbps:.4} MB/s",
+        probe.len(),
+        probe_rates.len()
     ));
 
     // The ladder bisects [½, 1] × capacity for the highest rate whose
     // final-frame p90 meets the limit with no growing backlog.
-    let rung_s = ((opts.seconds - fixed_n as f64 / FIXED_RATE - probe_s) / RUNGS as f64).max(1.0);
+    let rung_s = ((opts.seconds - window_start.elapsed().as_secs_f64()) / RUNGS as f64).max(1.0);
     let mut max_qps = if passes(&fixed) { FIXED_RATE } else { 0.0 };
-    let mut served_bytes = probe_bytes + fixed.iter().map(|s| s.bytes as f64).sum::<f64>();
+    let mut served_bytes: f64 = fixed.iter().chain(&probe).map(|s| s.bytes as f64).sum();
     let (mut lo, mut hi) = (capacity / 2.0, capacity);
     for _ in 0..RUNGS {
         let rate = (lo + hi) / 2.0;
@@ -422,31 +420,25 @@ pub fn run(opts: &RunOpts) -> Result<Outcome, String> {
     let fetched = after.datasets[0].bytes_fetched - before.datasets[0].bytes_fetched;
     let fetch_ratio = fetched as f64 / served_bytes;
 
-    // Latencies of the fixed-rate phase: medians over its blocks.
+    // Latencies of the fixed-rate blocks, pooled and per scope.
     let n = fixed.len() as u64;
-    let blocks = by_block(&fixed, load.block);
-    let per_block = |f: fn(&Served) -> f64, q: f64| {
-        median(&blocks.iter().map(|b| q_of(b, f, q)).collect::<Vec<_>>())
-    };
-    let first = |q| per_block(|s| s.first_ms, q);
-    let last = |q| per_block(|s| s.final_ms, q);
     let all: Vec<&Served> = fixed.iter().collect();
+    let is_full = |s: &Served| load.order[s.index % load.order.len()] < TARGETS.len();
+    let (full, region): (Vec<&Served>, Vec<&Served>) = all.iter().partition(|s| is_full(s));
     let lateness_p90 = q_of(&all, |s| s.lateness_ms, 0.9);
     out.note(format!(
-        "fixed rate {FIXED_RATE}/s: {n} requests in {} blocks, generator lateness p90 \
-         {lateness_p90:.4} ms",
-        blocks.len()
+        "fixed rate {FIXED_RATE}/s: {n} requests ({} full domain, {} region), generator \
+         lateness p90 {lateness_p90:.4} ms",
+        full.len(),
+        region.len()
     ));
     for (name, v) in [
-        ("first_frame_p50_ms", first(0.5)),
-        ("first_frame_p90_ms", first(0.9)),
-        ("stream_p50_ms", last(0.5)),
-        ("stream_p90_ms", last(0.9)),
+        ("first_frame_p50_ms", q_of(&all, |s| s.first_ms, 0.5)),
+        ("first_frame_p90_ms", q_of(&all, |s| s.first_ms, 0.9)),
+        ("stream_p50_ms", q_of(&all, |s| s.final_ms, 0.5)),
+        ("stream_p90_ms", q_of(&all, |s| s.final_ms, 0.9)),
     ] {
-        out.note(format!(
-            "{name} = {v:.4} ms (n={n}, median of {} blocks)",
-            blocks.len()
-        ));
+        out.note(format!("{name} = {v:.4} ms (n={n})"));
     }
     out.note(format!(
         "max_qps = {max_qps:.4} 1/s (final p90 <= {P90_LIMIT_MS} ms, {RUNGS} rungs of {rung_s:.2} s)"
@@ -454,8 +446,10 @@ pub fn run(opts: &RunOpts) -> Result<Outcome, String> {
     out.note(format!("fetch_ratio = {fetch_ratio:.6}"));
 
     if opts.trace {
+        // Per request of the rounds, fixed-rate and closed-loop alike.
+        let n = (fixed.len() + probe.len()) as u64;
         let per = |v: f64| v / n as f64;
-        let (d0, d1) = (&before.datasets[0], &after_fixed.datasets[0]);
+        let (d0, d1) = (&before.datasets[0], &after_rounds.datasets[0]);
         let mut extras = Extras::default();
         let (hits, misses) = (d1.hits - d0.hits, d1.misses - d0.misses);
         extras.set(
@@ -472,13 +466,13 @@ pub fn run(opts: &RunOpts) -> Result<Outcome, String> {
             extras.set("netstore.wasted_mb", per((b[2] - a[2]) as f64 / MB));
             extras.set("netstore.retries", (b[3] - a[3]) as f64);
         }
-        let accepted = after_fixed.accepted - before.accepted;
+        let accepted = after_rounds.accepted - before.accepted;
         extras.set(
             "server.frames_per_request",
-            (after_fixed.served_frames - before.served_frames) as f64 / accepted.max(1) as f64,
+            (after_rounds.served_frames - before.served_frames) as f64 / accepted.max(1) as f64,
         );
         extras.set("server.accepted", accepted as f64);
-        extras.set("server.shed", (after_fixed.shed - before.shed) as f64);
+        extras.set("server.shed", (after_rounds.shed - before.shed) as f64);
         extras.set("loadgen.lateness_p90_ms", lateness_p90);
         extras.set("tracing.overhead_pct", overhead_pct(&mut load)?);
         out.note(format!(
@@ -490,13 +484,15 @@ pub fn run(opts: &RunOpts) -> Result<Outcome, String> {
         layers::report(&mut out, &summary, n, &extras);
     } else {
         out.metric("setup_s", setup_s, "s", scale.setup_reps as u64);
-        out.metric("mbps", probe_mbps, "MB/s", probe.len() as u64);
-        out.metric("ops_per_s", max_qps, "1/s", RUNGS as u64);
+        out.metric("mbps", mbps, "MB/s", probe.len() as u64);
+        out.metric("ops_per_s", capacity, "1/s", probe.len() as u64);
         out.metric("bytes_ratio", fetch_ratio, "ratio", n);
-        out.metric("p50_ms", first(0.5), "ms", n);
-        out.metric("p90_ms", first(0.9), "ms", n);
-        out.metric("alt_p50_ms", last(0.5), "ms", n);
-        out.metric("alt_p90_ms", last(0.9), "ms", n);
+        let (first, last) = (|s: &Served| s.first_ms, |s: &Served| s.final_ms);
+        let (nr, nf) = (region.len() as u64, full.len() as u64);
+        out.metric("small_ms", q_of(&region, first, 0.5), "ms", nr);
+        out.metric("large_ms", q_of(&full, first, 0.5), "ms", nf);
+        out.metric("alt_small_ms", q_of(&region, last, 0.5), "ms", nr);
+        out.metric("alt_large_ms", q_of(&full, last, 0.5), "ms", nf);
     }
     Ok(out)
 }
