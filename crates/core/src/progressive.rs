@@ -42,7 +42,7 @@ use crate::error::MdrError;
 use crate::pipeline::PipelineMode;
 use crate::refactor::Refactored;
 use crate::retrieve::{RetrievalPlan, RetrievalSession};
-use crate::roi::{assemble_parts, Region, RoiPlan};
+use crate::roi::{assemble_region, Region, RoiPlan};
 use crate::Scope;
 use hpmdr_bitplane::BitplaneFloat;
 use hpmdr_exec::{Backend, ExecCtx, ScalarBackend};
@@ -343,18 +343,18 @@ impl<F: BitplaneFloat + Real + Default, B: Backend> ApproximationStream<F, B> {
                         }
                     }
 
-                    let parts: Vec<Vec<F>> = owned
-                        .iter()
-                        .zip(&plan.chunks)
-                        .map(|(oc, cp)| {
+                    // Chunks fan out through the backend's batch map,
+                    // exactly as the one-shot `serve_region` does.
+                    let owned = &*owned;
+                    let backend = &self.backend;
+                    let res =
+                        assemble_region::<F, _, _>(meta, &plan, backend, &self.ctx, |i, cp| {
                             let mut sess =
-                                RetrievalSession::with_backend(&oc.chunk, self.backend.clone());
+                                RetrievalSession::with_backend(&owned[i].chunk, backend.clone());
                             sess.try_refine_to(&cp.plan)
                                 .map_err(|e| e.in_context(format!("chunk {}", cp.chunk)))?;
                             Ok(sess.reconstruct::<F>())
-                        })
-                        .collect::<Result<_, MdrError>>()?;
-                    let res = assemble_parts(meta, &plan, parts)?;
+                        })?;
                     if is_final && self.query.strict && res.exhausted {
                         return Err(MdrError::Unsatisfiable {
                             target: resolved.threshold(),
@@ -464,6 +464,38 @@ mod tests {
         };
         assert!(saw_intermediate, "intermediate frames precede the error");
         assert!(matches!(err, MdrError::Unsatisfiable { .. }), "{err}");
+    }
+
+    #[test]
+    fn parallel_stream_final_frame_matches_scalar_oneshot() {
+        let scalar = reader();
+        let store = Arc::new(InMemoryStore::from(refactor_chunked(
+            &field(30, 22),
+            &[30, 22],
+            &ChunkedConfig::with_extent(&[8, 8]),
+        )));
+        let parallel =
+            SharedReader::with_backend(store, hpmdr_exec::ParallelBackend::with_threads(3));
+        for query in [
+            Query::full(Target::AbsError(1e-4)),
+            Query::full(Target::Rel(1e-3)),
+            Query::full(Target::Rmse(1e-3)),
+            Query::region(Target::AbsError(1e-5), Region::new(&[3, 5], &[20, 12])),
+        ] {
+            let oneshot = scalar.retrieve::<f32>(&query).unwrap();
+            let mut stream = parallel.stream::<f32>(&query).unwrap();
+            let mut last = None;
+            while let Some(frame) = stream.refine_next().unwrap() {
+                last = Some(frame);
+            }
+            let last = last.unwrap();
+            assert!(last.is_final);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&last.approximation.data), bits(&oneshot.data));
+            assert_eq!(last.approximation.shape, oneshot.shape);
+            assert_eq!(last.approximation.achieved, oneshot.achieved);
+            assert_eq!(last.approximation.exhausted, oneshot.exhausted);
+        }
     }
 
     #[test]

@@ -16,15 +16,16 @@
 //! * [`mod@line`] — the 1D transform: interpolation detail plus the L2
 //!   correction obtained from a symmetric tridiagonal (Thomas) solve.
 //! * [`transform`] — tensor-product application along each axis per level,
-//!   exactly invertible by construction.
+//!   exactly invertible by construction, with the lines of each axis pass
+//!   batched sixteen at a time (bit-identical to [`mod@line`] per line).
 //! * [`levels`] — extraction/injection of per-level coefficient groups and
 //!   the conservative error-propagation weights MDR's retrieval planner
 //!   uses.
 //! * [`quantize`] — uniform level-scaled quantization (used by the MGARD
 //!   baseline codec of the evaluation, not by HP-MDR's bitplane path).
 //! * [`mod@simd`] — runtime-dispatched AVX2/NEON kernels for the
-//!   quantize/dequantize/zig-zag hot loops, bit-identical to the scalar
-//!   reference on every ISA.
+//!   quantize/zig-zag hot loops, bit-identical to the scalar reference on
+//!   every ISA.
 
 pub mod grid;
 pub mod levels;

@@ -15,6 +15,10 @@
 //!
 //! Both steps are exactly invertible: the correction depends only on the
 //! detail coefficients, so recomposition subtracts the identical `w`.
+//!
+//! [`decompose_line`] and [`recompose_line`] transform one line. They are
+//! the reference: [`crate::transform`] runs the same steps across sixteen
+//! lines at once and must match these functions bit for bit.
 
 use crate::Real;
 
@@ -44,8 +48,8 @@ pub fn thomas_solve<F: Real>(diag: &[F], off: F, r: &mut [F], scratch: &mut [F])
     }
 }
 
-/// Reusable buffers for one line transform (avoids per-line allocation in
-/// the hot tensor loops).
+/// Reusable buffers for one line transform (avoids per-line allocation
+/// when many lines are transformed in turn).
 #[derive(Debug, Clone, Default)]
 pub struct LineScratch<F> {
     coarse: Vec<F>,

@@ -1,31 +1,55 @@
 //! Tensor-product multilevel (re)decomposition over 1D/2D/3D arrays.
 //!
 //! Each level applies the 1D transform of [`crate::line`] along every
-//! dimension of the current active grid (all lines of one axis pass are
-//! independent and processed in parallel). Recomposition replays levels
+//! dimension of the current active grid. Recomposition replays levels
 //! and axes in exactly reverse order, making the whole transform exactly
 //! invertible up to floating-point roundoff — the property MDR relies on
 //! for near-lossless refactoring.
+//!
+//! # Lane-batched axis pass
+//!
+//! All lines of one axis pass are independent. Instead of transforming
+//! them one at a time, a pass gathers `LANES` (16) adjacent lines into a
+//! tile whose row `i` holds element `i` of every line (`tile[i][lane]`),
+//! runs each step of the 1D transform as a loop over the lanes of a row,
+//! and scatters the tile back. The serial Thomas recurrences still walk
+//! the rows in order, but each step now updates sixteen independent lines
+//! at once, which the compiler turns into vector instructions on any
+//! target without ISA-specific code.
+//!
+//! Every lane performs exactly the operations of
+//! [`decompose_line`](crate::line::decompose_line) /
+//! [`recompose_line`](crate::line::recompose_line), in the same order, on
+//! the same values (Rust never contracts `a * b + c` into a fused
+//! multiply-add). The mass-matrix factorization does not depend on the
+//! data, so it is computed once per pass and every lane divides or
+//! multiplies by the same pivots the per-line code computes. The result
+//! is bit-identical to transforming each line on its own.
 
 use crate::grid::Hierarchy;
-use crate::line::{decompose_line, recompose_line, LineScratch};
 use crate::Real;
 use rayon::prelude::*;
 
-/// Shared mutable base pointer for disjoint parallel line updates.
+/// Lines per tile. Sixteen `f32` lanes fill four SSE or two AVX registers.
+const LANES: usize = 16;
+
+/// Shared mutable base pointer for disjoint parallel batch updates.
 ///
-/// Soundness: each line id of one axis pass touches a disjoint set of
-/// elements (lines differ in at least one non-axis coordinate).
+/// Soundness: each batch of one axis pass touches a disjoint set of
+/// elements (its lines differ from every other line in at least one
+/// non-axis coordinate).
 struct SyncPtr<F>(*mut F);
 // SAFETY: the pointer targets the caller's buffer for the duration of one
-// axis pass; each worker touches only its own line's elements.
+// axis pass; each worker touches only its own batch's elements.
 unsafe impl<F> Send for SyncPtr<F> {}
 // SAFETY: concurrent access is confined to disjoint element sets (lines
 // of one axis pass never share an element), so no location races.
 unsafe impl<F> Sync for SyncPtr<F> {}
 
 impl<F> SyncPtr<F> {
-    // SAFETY: caller must pass an in-bounds `i` belonging to its own line.
+    /// # Safety
+    /// `i` must be in bounds of the buffer and belong to the caller's batch.
+    // SAFETY: caller must pass an in-bounds `i` belonging to its own batch.
     #[inline]
     unsafe fn read(&self, i: usize) -> F
     where
@@ -33,17 +57,253 @@ impl<F> SyncPtr<F> {
     {
         *self.0.add(i)
     }
-    // SAFETY: caller must pass an in-bounds `i` belonging to its own line.
+    /// # Safety
+    /// `i` must be in bounds of the buffer and belong to the caller's batch.
+    // SAFETY: caller must pass an in-bounds `i` belonging to its own batch.
     #[inline]
     unsafe fn write(&self, i: usize, v: F) {
         *self.0.add(i) = v;
     }
 }
 
+/// Thomas factorization of the coarse mass matrix for `nc` nodes:
+/// diagonal `2/3, 4/3, …, 4/3, 2/3`, off-diagonal `1/3` (see
+/// [`crate::line`]). It depends only on `nc`, so one copy serves every
+/// line of a pass.
+struct MassFactors<F> {
+    /// Forward-sweep pivots `m_i`; decompose divides by them, exactly as
+    /// [`thomas_solve`](crate::line::thomas_solve) does.
+    m: Vec<F>,
+    /// Pivot reciprocals `1/m_i`; recompose multiplies by them, exactly
+    /// as the per-line cached solve does.
+    inv_m: Vec<F>,
+    /// Back-substitution multipliers `off/m_i`.
+    c: Vec<F>,
+}
+
+impl<F: Real> MassFactors<F> {
+    fn new(nc: usize) -> Self {
+        let one = F::from_f64(1.0);
+        let off = F::from_f64(1.0 / 3.0);
+        let interior = F::from_f64(4.0 / 3.0);
+        let boundary = F::from_f64(2.0 / 3.0);
+        let mut f = MassFactors {
+            m: Vec::with_capacity(nc),
+            inv_m: Vec::with_capacity(nc),
+            c: Vec::with_capacity(nc),
+        };
+        for i in 0..nc {
+            let d = if i == 0 || i + 1 == nc {
+                boundary
+            } else {
+                interior
+            };
+            let m = if i == 0 { d } else { d - off * f.c[i - 1] };
+            f.m.push(m);
+            f.inv_m.push(one / m);
+            f.c.push(off / m);
+        }
+        f
+    }
+}
+
+/// `out[l] = op(out[l], a[l])` over the lanes of one tile row.
+#[inline(always)]
+fn lanes_with<F: Copy, const W: usize>(out: &mut [F; W], a: &[F; W], op: impl Fn(F, F) -> F) {
+    for (o, &x) in out.iter_mut().zip(a) {
+        *o = op(*o, x);
+    }
+}
+
+/// `out[l] = op(out[l], a[l], b[l])` over the lanes of one tile row.
+#[inline(always)]
+fn lanes_with2<F: Copy, const W: usize>(
+    out: &mut [F; W],
+    a: &[F; W],
+    b: &[F; W],
+    op: impl Fn(F, F, F) -> F,
+) {
+    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+        *o = op(*o, x, y);
+    }
+}
+
+/// Odd rows become `op(d, pred)`, where `pred` interpolates the even
+/// neighbours (one-sided past the end of an even-length line). The even
+/// rows are read, never written.
+fn apply_prediction<F: Real, const W: usize>(tile: &mut [[F; W]], op: impl Fn(F, F) -> F) {
+    let n = tile.len();
+    let half = F::from_f64(0.5);
+    for i in 0..n / 2 {
+        let left = tile[2 * i];
+        if 2 * i + 2 < n {
+            let right = tile[2 * i + 2];
+            lanes_with2(&mut tile[2 * i + 1], &left, &right, |d, a, b| {
+                op(d, (a + b) * half)
+            });
+        } else {
+            lanes_with(&mut tile[2 * i + 1], &left, &op);
+        }
+    }
+}
+
+/// The L2 correction of the even rows: `rhs` receives `M⁻¹ r` for the
+/// load `r_j = ½(d_{j−1} + d_j)` of the odd rows, and each even row `j`
+/// becomes `update(v_j, w_j)`. The forward sweep applies pivot `i` as
+/// `pivot(x, pivots[i])`, so each direction rounds it as its per-line
+/// reference does; `c` holds the back-substitution multipliers.
+fn correct_coarse<F: Real, const W: usize>(
+    tile: &mut [[F; W]],
+    rhs: &mut [[F; W]],
+    (pivots, c): (&[F], &[F]),
+    pivot: impl Fn(F, F) -> F,
+    update: impl Fn(F, F) -> F,
+) {
+    let nf = tile.len() / 2;
+    let half = F::from_f64(0.5);
+    let off = F::from_f64(1.0 / 3.0);
+    // Missing neighbours are zero, and the zero is still added as in the
+    // per-line code, so a `-0.0` detail rounds the same way.
+    let zero = [F::ZERO; W];
+    for (j, r) in rhs.iter_mut().enumerate() {
+        let dl = if j >= 1 { &tile[2 * j - 1] } else { &zero };
+        let dr = if j < nf { &tile[2 * j + 1] } else { &zero };
+        lanes_with2(r, dl, dr, |_, a, b| (a + b) * half);
+    }
+    // Forward sweep.
+    let p0 = pivots[0];
+    for r in rhs[0].iter_mut() {
+        *r = pivot(*r, p0);
+    }
+    for i in 1..rhs.len() {
+        let (prev, pi) = (rhs[i - 1], pivots[i]);
+        lanes_with(&mut rhs[i], &prev, |r, p| pivot(r - off * p, pi));
+    }
+    // Back substitution.
+    for i in (0..rhs.len() - 1).rev() {
+        let (next, ci) = (rhs[i + 1], c[i]);
+        lanes_with(&mut rhs[i], &next, |r, x| r - ci * x);
+    }
+    for (j, w) in rhs.iter().enumerate() {
+        lanes_with(&mut tile[2 * j], w, &update);
+    }
+}
+
+/// [`decompose_line`](crate::line::decompose_line) on every lane of
+/// `tile` (`n = tile.len() ≥ 3` rows); `rhs` holds `ceil(n/2)` rows.
+fn decompose_lanes<F: Real, const W: usize>(
+    tile: &mut [[F; W]],
+    rhs: &mut [[F; W]],
+    f: &MassFactors<F>,
+    correct: bool,
+) {
+    apply_prediction(tile, |d, pred| d - pred);
+    if correct {
+        // Divide by the pivots, as `thomas_solve` does.
+        correct_coarse(tile, rhs, (&f.m, &f.c), |x, m| x / m, |v, w| v + w);
+    }
+}
+
+/// [`recompose_line`](crate::line::recompose_line) on every lane of
+/// `tile` (`n = tile.len() ≥ 3` rows); `rhs` holds `ceil(n/2)` rows.
+fn recompose_lanes<F: Real, const W: usize>(
+    tile: &mut [[F; W]],
+    rhs: &mut [[F; W]],
+    f: &MassFactors<F>,
+    correct: bool,
+) {
+    if correct {
+        // Multiply by the cached reciprocals, as the per-line solve does.
+        correct_coarse(tile, rhs, (&f.inv_m, &f.c), |x, inv| x * inv, |v, w| v - w);
+    }
+    apply_prediction(tile, |d, pred| d + pred);
+}
+
+/// What the batches of one axis pass share: the buffer, the level's
+/// geometry and the factorization.
+struct AxisPass<'a, F> {
+    data: SyncPtr<F>,
+    /// Active extent per dimension.
+    dims: &'a [usize],
+    /// Element stride between active nodes per dimension (original-grid
+    /// units × row-major stride).
+    elem_strides: &'a [usize],
+    axis: usize,
+    num_lines: usize,
+    factors: MassFactors<F>,
+    decompose_dir: bool,
+    correct: bool,
+}
+
+impl<F: Real> AxisPass<'_, F> {
+    /// Flat offset of line `id`'s first element: `id` read as a mixed-radix
+    /// number over the non-axis dimensions, last dimension fastest, so
+    /// consecutive ids are neighbours in memory.
+    fn line_base(&self, id: usize) -> usize {
+        let mut rem = id;
+        let mut base = 0usize;
+        for d in (0..self.dims.len()).rev() {
+            if d != self.axis {
+                base += (rem % self.dims[d]) * self.elem_strides[d];
+                rem /= self.dims[d];
+            }
+        }
+        base
+    }
+
+    /// Split the lines into batches of `W` and run them, spreading the
+    /// batches across the installed thread pool.
+    fn run<const W: usize>(&self) {
+        let n = self.dims[self.axis];
+        let nc = n.div_ceil(2);
+        (0..self.num_lines.div_ceil(W))
+            .into_par_iter()
+            .for_each_init(
+                || (vec![[F::ZERO; W]; n], vec![[F::ZERO; W]; nc]),
+                |(tile, rhs), batch| self.run_batch(batch * W, tile, rhs),
+            );
+    }
+
+    /// Gather lines `first..` (up to `W` of them) into `tile`, transform
+    /// every lane, and scatter the real lanes back. Lanes past the last
+    /// line are zeroed, transformed, and dropped.
+    fn run_batch<const W: usize>(&self, first: usize, tile: &mut [[F; W]], rhs: &mut [[F; W]]) {
+        let count = W.min(self.num_lines - first);
+        let axis_stride = self.elem_strides[self.axis];
+        let mut bases = [0usize; W];
+        for (l, b) in bases.iter_mut().enumerate().take(count) {
+            *b = self.line_base(first + l);
+        }
+        for (i, row) in tile.iter_mut().enumerate() {
+            let off = i * axis_stride;
+            for (slot, &b) in row.iter_mut().zip(&bases).take(count) {
+                // SAFETY: lines `first..first + count` belong to this batch
+                // only; `b + off` is in bounds by construction.
+                *slot = unsafe { self.data.read(b + off) };
+            }
+            row[count..].fill(F::ZERO);
+        }
+        if self.decompose_dir {
+            decompose_lanes(tile, rhs, &self.factors, self.correct);
+        } else {
+            recompose_lanes(tile, rhs, &self.factors, self.correct);
+        }
+        for (i, row) in tile.iter().enumerate() {
+            let off = i * axis_stride;
+            for (&v, &b) in row.iter().zip(&bases).take(count) {
+                // SAFETY: the same indices the gather above read — disjoint
+                // across batches and in bounds by construction.
+                unsafe { self.data.write(b + off, v) };
+            }
+        }
+    }
+}
+
 /// One axis pass over the active grid at a level.
 ///
-/// `dims`: active extent per dimension; `strides`: element stride between
-/// active nodes per dimension (original-grid units × row-major stride).
+/// `dims`: active extent per dimension; `elem_strides`: element stride
+/// between active nodes per dimension (original-grid units × row-major
+/// stride).
 fn axis_pass<F: Real>(
     data: &mut [F],
     dims: &[usize],
@@ -56,42 +316,26 @@ fn axis_pass<F: Real>(
     if n < 3 {
         return;
     }
-    // Enumerate lines: mixed-radix over the other dimensions.
-    let other: Vec<usize> = (0..dims.len()).filter(|&d| d != axis).collect();
-    let num_lines: usize = other.iter().map(|&d| dims[d]).product::<usize>().max(1);
-    let axis_stride = elem_strides[axis];
-    let ptr = SyncPtr(data.as_mut_ptr());
-
-    (0..num_lines)
-        .into_par_iter()
-        .with_min_len(8)
-        .for_each_init(
-            || (LineScratch::<F>::with_capacity(n), vec![F::ZERO; n]),
-            |(scratch, buf), line_id| {
-                let mut rem = line_id;
-                let mut base = 0usize;
-                for &d in other.iter().rev() {
-                    let idx = rem % dims[d];
-                    rem /= dims[d];
-                    base += idx * elem_strides[d];
-                }
-                // Gather, transform, scatter.
-                for (i, slot) in buf.iter_mut().enumerate() {
-                    // SAFETY: disjoint lines; in-bounds by construction.
-                    *slot = unsafe { ptr.read(base + i * axis_stride) };
-                }
-                if decompose_dir {
-                    decompose_line(buf, scratch, correct);
-                } else {
-                    recompose_line(buf, scratch, correct);
-                }
-                for (i, &v) in buf.iter().enumerate() {
-                    // SAFETY: same indices the gather above read — disjoint
-                    // across lines and in-bounds by construction.
-                    unsafe { ptr.write(base + i * axis_stride, v) };
-                }
-            },
-        );
+    let pass = AxisPass {
+        data: SyncPtr(data.as_mut_ptr()),
+        dims,
+        elem_strides,
+        axis,
+        num_lines: (0..dims.len())
+            .filter(|&d| d != axis)
+            .map(|d| dims[d])
+            .product(),
+        factors: MassFactors::new(n.div_ceil(2)),
+        decompose_dir,
+        correct,
+    };
+    // A pass too small to fill one tile runs its lines one lane wide, so
+    // a single long line never pays for fifteen empty lanes.
+    if pass.num_lines >= LANES {
+        pass.run::<LANES>();
+    } else {
+        pass.run::<1>();
+    }
 }
 
 fn level_geometry(h: &Hierarchy, l: usize) -> (Vec<usize>, Vec<usize>) {

@@ -350,12 +350,18 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Multi-byte UTF-8: copy the full char.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Copy the run up to the next quote or backslash as one
+                    // slice. Both are ASCII, so they never fall inside a
+                    // multi-byte UTF-8 sequence and the run splits cleanly.
+                    let run = &self.bytes[self.pos..];
+                    let len = run
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(run.len());
+                    let text = std::str::from_utf8(&run[..len])
                         .map_err(|e| Error::new(format!("invalid UTF-8: {e}")))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(text);
+                    self.pos += len;
                 }
                 None => return Err(Error::new("unterminated string")),
             }
@@ -511,6 +517,39 @@ mod tests {
         let s = to_string(&v).unwrap();
         let back: Value = from_str(&s).unwrap();
         assert_eq!(back, v);
+    }
+
+    #[test]
+    fn multibyte_utf8_next_to_escapes_round_trips() {
+        for (json, want) in [
+            ("\"é\\n漢\\\"字\\\\😀\"", "é\n漢\"字\\😀"),
+            ("\"\\t😀\\u00e9ü\"", "\t😀éü"),
+            ("\"ß\\/Ω\\r\"", "ß/Ω\r"),
+            ("\"\\u263a☺\\ud83d\\ude00\"", "☺☺😀"),
+        ] {
+            let v: Value = from_str(json).unwrap();
+            assert_eq!(v, Value::Str(want.to_string()), "{json}");
+            let back: Value = from_str(&to_string(&v).unwrap()).unwrap();
+            assert_eq!(back, v, "{json}");
+        }
+    }
+
+    #[test]
+    fn invalid_utf8_inside_a_string_is_an_error() {
+        for bad in [
+            &b"\"ab\xff\""[..],
+            b"\"\\n\xc3\"",
+            b"{\"k\": \"\xe6\xbc\"}",
+            b"[\"ok\", \"\xf0\x9f\x98\"]",
+        ] {
+            assert!(from_slice::<Value>(bad).is_err(), "{bad:?}");
+        }
+        // The parser itself rejects a bad run, whatever its caller checked.
+        let mut p = Parser {
+            bytes: b"\"a\xffb\\n\"",
+            pos: 0,
+        };
+        assert!(p.string().is_err());
     }
 
     #[test]
