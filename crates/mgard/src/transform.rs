@@ -14,8 +14,8 @@
 //! runs each step of the 1D transform as a loop over the lanes of a row,
 //! and scatters the tile back. The serial Thomas recurrences still walk
 //! the rows in order, but each step now updates sixteen independent lines
-//! at once, which the compiler turns into vector instructions on any
-//! target without ISA-specific code.
+//! at once, which the compiler turns into vector instructions without
+//! ISA-specific code.
 //!
 //! Every lane performs exactly the operations of
 //! [`decompose_line`](crate::line::decompose_line) /
@@ -155,7 +155,8 @@ fn apply_prediction<F: Real, const W: usize>(tile: &mut [[F; W]], op: impl Fn(F,
 fn correct_coarse<F: Real, const W: usize>(
     tile: &mut [[F; W]],
     rhs: &mut [[F; W]],
-    (pivots, c): (&[F], &[F]),
+    pivots: &[F],
+    c: &[F],
     pivot: impl Fn(F, F) -> F,
     update: impl Fn(F, F) -> F,
 ) {
@@ -200,7 +201,7 @@ fn decompose_lanes<F: Real, const W: usize>(
     apply_prediction(tile, |d, pred| d - pred);
     if correct {
         // Divide by the pivots, as `thomas_solve` does.
-        correct_coarse(tile, rhs, (&f.m, &f.c), |x, m| x / m, |v, w| v + w);
+        correct_coarse(tile, rhs, &f.m, &f.c, |x, m| x / m, |v, w| v + w);
     }
 }
 
@@ -214,7 +215,7 @@ fn recompose_lanes<F: Real, const W: usize>(
 ) {
     if correct {
         // Multiply by the cached reciprocals, as the per-line solve does.
-        correct_coarse(tile, rhs, (&f.inv_m, &f.c), |x, inv| x * inv, |v, w| v - w);
+        correct_coarse(tile, rhs, &f.inv_m, &f.c, |x, inv| x * inv, |v, w| v - w);
     }
     apply_prediction(tile, |d, pred| d + pred);
 }
